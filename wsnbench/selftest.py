@@ -112,6 +112,22 @@ def test_wrappers_are_removed_and_a_later_run_is_unwrapped():
     assert untraced.counters == traced.counters
 
 
+def test_calibration_scales_each_phase_and_restores_the_collector():
+    import gc
+
+    assert gc.isenabled()
+    assert bench.calibrate() > 0
+    assert gc.isenabled()
+    workload = WORKLOADS["agent-tracker"]
+    spec = workload.make_spec(3, bench.SMOKE_SCALE)
+    assert bench.Repeat(workload, spec).calibration_s is None
+    repeat = bench.Repeat(workload, spec, calibrated=True)
+    scaled = repeat.scaled()
+    nominal = bench.CALIBRATION_NOMINAL_S
+    assert math.isclose(scaled["sim_x_ref"], repeat.sim_x_real * repeat.calibration_s / nominal)
+    assert math.isclose(scaled["setup_s"], repeat.setup_s * nominal / repeat.setup_calibration_s)
+
+
 def test_counter_differences_fail_a_repeat():
     assert bench._differences({"frames": 3}, {"frames": 3}) == []
     assert bench._differences({"frames": 4}, {"frames": 3})
@@ -125,6 +141,16 @@ def test_every_spec_seed_follows_the_benchmark_seed():
         assert spec["topology"].get("seed", 41) == 41
         assert workload.make_spec(41) == spec
         assert workload.make_spec(42) != spec
+
+
+def test_a_run_measures_distinct_inputs_made_from_its_seed():
+    for workload in WORKLOADS.values():
+        specs = bench.run_specs(workload, 41)
+        assert len(specs) == bench.SPECS_PER_RUN
+        assert bench.run_specs(workload, 41) == specs
+        seeds = {spec["seed"] for spec in specs}
+        assert len(seeds) == len(specs)
+        assert seeds.isdisjoint(spec["seed"] for spec in bench.run_specs(workload, 42))
 
 
 def test_a_bare_checkout_exits_without_a_result(tmp_path: Path):
