@@ -138,10 +138,6 @@ class TupleSpaceManager:
         if agent in self._blocked:
             self._blocked.remove(agent)
 
-    @property
-    def blocked_agents(self) -> list[Agent]:
-        return list(self._blocked)
-
     # ------------------------------------------------------------------
     def remove_agent(self, agent: Agent) -> list[Reaction]:
         """Strip an agent's registrations and wait-queue entries."""

@@ -201,9 +201,6 @@ class Environment:
     def __init__(self, fields: dict[int, Field] | None = None):
         self._fields: dict[int, Field] = dict(fields or {})
 
-    def set_field(self, sensor_type: int, field: Field) -> None:
-        self._fields[sensor_type] = field
-
     def field(self, sensor_type: int) -> Field | None:
         return self._fields.get(sensor_type)
 

@@ -10,9 +10,9 @@ instruction naming the install command and the documented floor version
 
 from __future__ import annotations
 
-#: Documented floor.  1.23 is the first release with Python 3.11 wheels, and
-#: the legacy ``RandomState`` stream the RNG shim relies on is frozen by
-#: NEP 19, so every floor-satisfying numpy draws bit-identically.
+#: Documented floor: 1.23 is the first release with Python 3.11 wheels.  The
+#: radio draws its randomness from the stdlib, not from ``numpy.random``, so
+#: the numpy version cannot move a fixed-seed stream.
 NUMPY_FLOOR = "1.23"
 
 try:

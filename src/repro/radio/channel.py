@@ -19,10 +19,10 @@ Above :data:`VECTOR_FANOUT_MIN` hearers the whole reception decision runs
 *vectorized*: per-receiver state comes from the :class:`RadioField` arrays
 (fancy-indexed by cached hearer slots), eligibility and collisions are
 boolean masks, PRRs come from the link cache's dense row vector, and all
-loss draws collapse into one ``rng.random_vector(n)`` call.  The
-:class:`~repro.radio.rngshim.CompatRng` stream shim guarantees that vector
-draw consumes the MT19937 stream exactly like the scalar per-receiver loop,
-so fixed-seed runs are bit-identical whichever path a frame takes.
+loss draws collapse into one ``rng.random_vector(n)`` call.  The channel's
+:class:`~repro.radio.rngshim.CompatRng` is a ``random.Random`` whose vector
+draw returns the very doubles the scalar per-receiver loop would draw, so
+fixed-seed runs are bit-identical whichever path a frame takes.
 
 Carrier sense and the hearer queries are array-native too: ``busy_for``
 resolves "any audible active transmitter" as one gather over a cached
@@ -318,10 +318,9 @@ class Channel:
         #: Physical meters per grid unit.  The paper's testbed is a tabletop:
         #: motes centimeters apart, all within radio range of each other.
         self.grid_spacing_m = grid_spacing_m
-        #: The channel's RNG stream.  Seeded exactly like the stdlib stream
-        #: ``sim.rng("channel")`` used to be, but served by the numpy-backed
-        #: :class:`CompatRng` so the delivery fan-out can draw all Bernoulli
-        #: outcomes in one vector call without perturbing the word sequence.
+        #: The channel's RNG stream, seeded as ``sim.rng("channel")`` would be
+        #: so fixed-seed goldens hold.  A :class:`CompatRng`, so the delivery
+        #: fan-out can take all its Bernoulli draws as one vector.
         self.rng = CompatRng(f"{sim.seed}/channel")
         self._radios: dict[int, Radio] = {}
         self._attach_counter = 0

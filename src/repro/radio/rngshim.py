@@ -1,37 +1,12 @@
-"""RNG-stream compatibility shim: vectorized draws, stdlib-identical stream.
+"""The channel's RNG stream: ``random.Random`` plus one vector draw.
 
-The channel's randomness historically came from ``random.Random`` (CPython's
-Mersenne Twister), one scalar ``random()`` call per receiver, in the
-documented per-receiver *attach order*.  Every fixed-seed golden and every
-committed baseline counter (frames, drops, collisions, delivery, coverage)
-is downstream of that exact word sequence — so vectorizing the fan-out is
-only free if the vector draw consumes the stream the same way.
-
-:class:`CompatRng` is that shim.  It owns a numpy *legacy*
-``RandomState`` — the same MT19937 core CPython uses — seeded and driven to
-be **bit-identical** to ``random.Random`` for everything the radio layer
-draws:
-
-* **Seeding** — ``random.Random(s)`` for a string seeds via
-  ``int.from_bytes(s + sha512(s), 'big')`` and feeds the integer to
-  ``init_by_array`` as little-endian 32-bit words.  :func:`_seed_key`
-  reproduces that key and :func:`_init_by_array` runs the reference
-  seeding, so both generators start from the same 624-word state (installed
-  with ``set_state`` — see the function's note on why numpy's own seeding
-  front-end is not used).
-* **``random()``** — CPython builds each 53-bit double from two 32-bit
-  words as ``(a >> 5) * 2**26 + (b >> 6)) / 2**53``.  numpy's legacy
-  ``random_sample`` is word-for-word the same algorithm (frozen by NEP 19),
-  so scalar draws match bit-for-bit — and ``random_vector(n)`` consumes
-  exactly the words of ``n`` scalar draws, in order.  That is the whole
-  compatibility contract: *one vector draw per fan-out is
-  indistinguishable, stream-wise, from the old per-receiver loop*, so the
-  delivery path can batch receivers in attach order and draw once.
-* **``randint()`` / ``getrandbits()``** — reimplemented from CPython's
-  ``Random`` source (``getrandbits`` word packing, ``_randbelow``'s
-  rejection loop) on top of raw 32-bit MT words, which the legacy
-  ``RandomState`` yields one per call for a full-range uint32 draw.  MAC
-  backoffs therefore perturb the stream exactly as before.
+Every fixed-seed golden and committed counter (frames, drops, collisions,
+delivery, coverage) is downstream of the channel drawing CPython's Mersenne
+Twister stream one scalar ``random()`` per receiver, in attach order.  The
+vectorized fan-out keeps that stream by drawing the same doubles in the same
+order and handing them over as one array: :meth:`CompatRng.random_vector`.
+Everything else is the stdlib generator itself, so seeding, doubles and
+integers are bit-identical by construction.
 
 Equivalence is pinned by ``tests/test_rng_shim.py`` (mixed
 ``randint``/``random``/vector interleavings against ``random.Random``) and,
@@ -40,156 +15,34 @@ end-to-end, by the delivery hypothesis property and the fixed-seed goldens.
 
 from __future__ import annotations
 
-import hashlib
+from random import Random
 
 from repro.radio._np import np
 
-#: Full-range uint32 draw bound: numpy's legacy bounded-integer path applies
-#: a mask of 0xFFFFFFFF and accepts every word, i.e. it returns raw MT words.
-_WORD_BOUND = 1 << 32
 
+class CompatRng(Random):
+    """A ``random.Random`` whose only addition is :meth:`random_vector`.
 
-def _seed_key(material: str | bytes | int) -> list[int]:
-    """The ``init_by_array`` key ``random.Random(material)`` would use.
-
-    Strings/bytes follow CPython's version-2 seeding (append a sha512
-    digest, read big-endian); integers are used by absolute value.  The
-    resulting integer is split into little-endian 32-bit words — the same
-    key layout CPython hands to ``init_by_array``.
-    """
-    if isinstance(material, str):
-        material = material.encode()
-    if isinstance(material, (bytes, bytearray)):
-        data = bytes(material)
-        seed_int = int.from_bytes(data + hashlib.sha512(data).digest(), "big")
-    elif isinstance(material, int):
-        seed_int = abs(material)
-    else:
-        raise TypeError(f"unsupported seed material: {type(material).__name__}")
-    words = []
-    while seed_int:
-        words.append(seed_int & 0xFFFFFFFF)
-        seed_int >>= 32
-    if not words:
-        words.append(0)
-    return words
-
-
-def _init_by_array(key: list[int]) -> list[int]:
-    """The reference MT19937 array seeding, exactly as CPython runs it.
-
-    Done in Python (once per stream, ~2 ms) rather than through numpy's
-    seeding front-end: the legacy ``RandomState(ndarray)`` path squeezes a
-    one-element key down to scalar ``init_genrand`` seeding, which diverges
-    from CPython for any seed that fits a single 32-bit word.  Computing the
-    624-word state ourselves and installing it via ``set_state`` sidesteps
-    every such front-end subtlety — only the *generation* algorithm (frozen
-    by NEP 19) is left to numpy.
-    """
-    mt = [0] * 624
-    mt[0] = 19650218
-    for i in range(1, 624):
-        mt[i] = (1812433253 * (mt[i - 1] ^ (mt[i - 1] >> 30)) + i) & 0xFFFFFFFF
-    i, j = 1, 0
-    for _ in range(max(624, len(key))):
-        mt[i] = (
-            (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525)) + key[j] + j
-        ) & 0xFFFFFFFF
-        i += 1
-        j += 1
-        if i >= 624:
-            mt[0] = mt[623]
-            i = 1
-        if j >= len(key):
-            j = 0
-    for _ in range(623):
-        mt[i] = ((mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1566083941)) - i) & 0xFFFFFFFF
-        i += 1
-        if i >= 624:
-            mt[0] = mt[623]
-            i = 1
-    mt[0] = 0x80000000
-    return mt
-
-
-class CompatRng:
-    """A ``random.Random``-compatible stream with vector draws.
-
-    Only the methods the radio layer uses are provided — ``random``,
-    ``randint`` (via ``getrandbits``/``randrange``), and the new
-    ``random_vector`` — each consuming the underlying MT19937 stream
-    exactly as its stdlib counterpart would.
+    ``random``, ``randint`` and ``getrandbits`` are named in the class body
+    so that per-call wrappers can be installed on (and removed from) this
+    class alone.  Naming ``getrandbits`` also keeps ``Random``'s subclass hook
+    from switching ``randint`` to its ``random()``-based fallback, which would
+    draw a different stream.
     """
 
-    __slots__ = ("_state", "_sample", "_word")
-
-    def __init__(self, seed_material: str | bytes | int):
-        self._state = np.random.RandomState()
-        mt = np.array(_init_by_array(_seed_key(seed_material)), dtype=np.uint32)
-        # Position 624 = "regenerate before the first draw", matching a
-        # freshly seeded CPython Random.
-        self._state.set_state(("MT19937", mt, 624, 0, 0.0))
-        self._sample = self._state.random_sample
-        self._word = self._state.randint
-
-    # ------------------------------------------------------------------
-    # Doubles
-    # ------------------------------------------------------------------
-    def random(self) -> float:
-        """The next double in [0, 1) — bit-identical to ``Random.random``."""
-        return float(self._sample())
+    getrandbits = Random.getrandbits
+    random = Random.random
+    randint = Random.randint
 
     def random_vector(self, count: int) -> "np.ndarray":
-        """``count`` doubles in one draw, consuming the stream exactly like
+        """``count`` doubles in one array, consuming the stream exactly like
         ``count`` successive :meth:`random` calls.
 
         This is the fan-out contract: the delivery path orders receivers by
         attach sequence and draws one vector, so element ``i`` is the very
-        double receiver ``i`` would have drawn from the scalar loop.
+        double receiver ``i`` would have drawn from the scalar loop.  The
+        stdlib ``random`` is bound directly, so a wrapper installed on
+        :meth:`random` does not see these draws.
         """
-        return self._sample(count)
-
-    # ------------------------------------------------------------------
-    # Integers (CPython's Random, re-derived over raw MT words)
-    # ------------------------------------------------------------------
-    def getrandbits(self, bits: int) -> int:
-        """``bits`` random bits, packed exactly like ``Random.getrandbits``:
-        successive 32-bit words fill the result little-endian, the last word
-        truncated from its high end."""
-        if bits <= 0:
-            raise ValueError("number of bits must be greater than zero")
-        word = self._word
-        if bits <= 32:
-            return int(word(0, _WORD_BOUND, dtype=np.uint32)) >> (32 - bits)
-        result = 0
-        shift = 0
-        while bits > 32:
-            result |= int(word(0, _WORD_BOUND, dtype=np.uint32)) << shift
-            shift += 32
-            bits -= 32
-        return result | (
-            (int(word(0, _WORD_BOUND, dtype=np.uint32)) >> (32 - bits)) << shift
-        )
-
-    def _randbelow(self, upper: int) -> int:
-        """CPython's ``_randbelow_with_getrandbits``, rejection loop and all
-        — the loop's extra word consumption is part of the stream contract."""
-        if not upper:
-            return 0
-        bits = upper.bit_length()
-        value = self.getrandbits(bits)
-        while value >= upper:
-            value = self.getrandbits(bits)
-        return value
-
-    def randrange(self, start: int, stop: int | None = None) -> int:
-        if stop is None:
-            start, stop = 0, start
-        width = stop - start
-        if width <= 0:
-            raise ValueError(f"empty range in randrange({start}, {stop})")
-        return start + self._randbelow(width)
-
-    def randint(self, low: int, high: int) -> int:
-        """Inclusive-range integer, stream-identical to ``Random.randint``."""
-        return self.randrange(low, high + 1)
+        draw = Random.random.__get__(self)
+        return np.fromiter([draw() for _ in range(count)], float, count)

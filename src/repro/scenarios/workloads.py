@@ -22,6 +22,7 @@ drive or inspect the whole field centrally and are not (yet).
 
 from __future__ import annotations
 
+from repro.agilla.agent import Agent, AgentState
 from repro.agilla.fields import StringField
 from repro.apps import chaser, firedetector, habitat_monitor, sampler
 from repro.errors import NetworkError
@@ -49,13 +50,38 @@ def count_tagged(net: SensorNetwork, tag: str) -> int:
     return claimed
 
 
+def living_agents(net: SensorNetwork) -> list[tuple[Location, Agent]]:
+    """Every living agent, by location, with each strong move counted once.
+
+    A move's origin keeps its ``MIGRATING`` copy until the final ack arrives,
+    which can be after the destination has installed the agent.  Such a copy
+    is left out when its (species, id) is resident and not migrating
+    elsewhere.  A real duplicate, where the origin resumed after a failed
+    hop, is not migrating, so it still counts.
+    """
+    found = [
+        (location, agent)
+        for location, node in sorted(net.nodes.items())
+        for agent in node.middleware.agents()
+    ]
+    settled = {
+        (agent.name[:3], agent.id)
+        for _, agent in found
+        if agent.state != AgentState.MIGRATING
+    }
+    return [
+        (location, agent)
+        for location, agent in found
+        if agent.state != AgentState.MIGRATING or (agent.name[:3], agent.id) not in settled
+    ]
+
+
 def agent_census(net: SensorNetwork) -> dict[str, int]:
     """Living agents by species tag (first three letters of the name)."""
     census: dict[str, int] = {}
-    for node in net.all_nodes():
-        for agent in node.middleware.agents():
-            species = agent.name[:3]
-            census[species] = census.get(species, 0) + 1
+    for _, agent in living_agents(net):
+        species = agent.name[:3]
+        census[species] = census.get(species, 0) + 1
     return census
 
 
@@ -170,8 +196,8 @@ class TrackerPerimeterWorkload(Workload):
 
     def metrics(self, net):
         census = agent_census(net)
-        chasers = net.find_agents("chs")
-        chase_at = str(chasers[0][0]) if chasers else None
+        chasers = [location for location, agent in living_agents(net) if agent.name[:3] == "chs"]
+        chase_at = str(chasers[0]) if chasers else None
         return {
             "coverage": count_tagged(net, "mag"),
             "samplers_alive": census.get("smp", 0),

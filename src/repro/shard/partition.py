@@ -84,12 +84,6 @@ class Partition:
         """Total ghost motes hosted by region ``index``."""
         return sum(len(v) for v in self.ghosts.get(index, {}).values())
 
-    def region_of(self, mote_id: int) -> int:
-        for region in self.regions:
-            if mote_id in region.mote_ids:
-                return region.index
-        raise KeyError(mote_id)
-
 
 class RegionTopology(Topology):
     """A region of a base topology, preserving global mote ids.

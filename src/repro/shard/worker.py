@@ -47,7 +47,7 @@ accounting remains exact.
 from __future__ import annotations
 
 import time
-from typing import Iterable, Protocol
+from typing import Protocol
 
 from repro.mote.mote import Mote
 from repro.net.filters import NeighborSetFilter
@@ -430,9 +430,3 @@ def neighbor_pairs(partition: Partition) -> list[tuple[int, int]]:
             pairs.add((min(i, j), max(i, j)))
     return sorted(pairs)
 
-
-def ghost_ids(partition: Partition, index: int) -> Iterable[int]:
-    """Mote ids mirrored into region ``index`` (debugging/test helper)."""
-    for j in sorted(partition.ghosts.get(index, {})):
-        for mote_id, _ in partition.ghosts[index][j]:
-            yield mote_id

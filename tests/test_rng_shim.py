@@ -1,14 +1,19 @@
-"""The RNG-stream compatibility shim: CompatRng == random.Random, bit for bit.
+"""The channel's RNG stream: CompatRng == random.Random, bit for bit.
 
 Every fixed-seed golden in the suite depends on the channel's MT19937 word
-sequence, so these tests pin the shim against the stdlib directly: same
+sequence, so these tests pin CompatRng against the stdlib directly: same
 seeding, same doubles, same integers, and — the point of the exercise —
 vector draws that consume the stream exactly like the scalar loop they
 replace.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import repro
 from repro.radio import Channel, CompatRng, Frame, PerfectLinks
 from repro.sim import Simulator, ms
 from tests.test_radio import make_mote
@@ -132,3 +137,24 @@ class TestChannelStreamCompatibility:
             twin.random() for _ in range(5)
         ]
         assert channel.rng.randint(400, 12_800) == twin.randint(400, 12_800)
+
+
+class TestImportFootprint:
+    def test_a_scenario_run_leaves_numpy_random_unimported(self):
+        """The radio draws from the stdlib; importing ``numpy.random`` would
+        only add about 6 MB of resident memory to every run."""
+        script = (
+            "import sys\n"
+            "import repro\n"
+            "from repro.scenarios import Scenario\n"
+            "Scenario.from_spec({'name': 'footprint',"
+            " 'topology': {'kind': 'grid', 'width': 4, 'height': 4},"
+            " 'workload': {'kind': 'flood'}, 'duration_s': 5.0}).run()\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        src = Path(repro.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "False"

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.agilla.agent import AgentState
 from repro.bench import scenarios as bench_scenarios
 from repro.bench.cli import main as bench_main
 from repro.errors import NetworkError
@@ -171,6 +172,34 @@ class TestWorkloads:
         result = run.run()
         assert result["coverage"] > 0  # samplers published readings
         assert result["samplers_alive"] > 0
+
+    def test_census_counts_a_mid_hop_chaser_once(self):
+        # Seed 10 ends 0.1 s after the chaser is installed at (7,7), while
+        # its origin copy at (7,6) still waits for the final ack.
+        spec = {
+            "name": "tracker-mid-hop",
+            "topology": {"kind": "grid", "width": 8, "height": 8},
+            "workload": {"kind": "tracker"},
+            "dynamics": {
+                "mobility": {"model": "random_waypoint", "speed": [0.5, 2.0], "pause_s": 2.0},
+                "mobile_fraction": 0.25,
+                "tick_s": 1.0,
+            },
+            "duration_s": 60.0,
+            "seed": 10,
+            "spacing_m": 60.0,
+        }
+        run = Scenario.from_spec(spec).build()
+        result = run.run()
+        copies = {str(location): agent for location, agent in run.net.find_agents("chs")}
+        assert sorted(copies) == ["(7,6)", "(7,7)"]
+        assert copies["(7,6)"].state == AgentState.MIGRATING
+        assert copies["(7,6)"].id == copies["(7,7)"].id
+        assert result["chaser_alive"] == 1
+        assert result["chaser_at"] == "(7,7)"
+        # An origin that resumed after a failed hop is a real duplicate.
+        copies["(7,6)"].state = AgentState.READY
+        assert agent_census(run.net)["chs"] == 2
 
     def test_habitat_monitors_every_node(self):
         result = Scenario.from_spec(mini("h", {"kind": "habitat"}, duration_s=5.0)).run()
