@@ -118,6 +118,14 @@ class MigrationService:
             or self._incoming is not None
         )
 
+    def move_destination(self, agent: Agent) -> Location | None:
+        """Where a hop-by-hop move of ``agent`` from this node is bound, while
+        the move still holds the origin copy; otherwise None."""
+        for transfer in (self._active, *self._queue):
+            if transfer is not None and transfer.agent is agent:
+                return transfer.final_dest if transfer.kind in ("smove", "wmove") else None
+        return None
+
     def _log(self, event: str, agent_id: int) -> None:
         if len(self.events) < 100_000:
             self.events.append((event, agent_id, self.sim.now))

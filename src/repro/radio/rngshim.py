@@ -45,4 +45,4 @@ class CompatRng(Random):
         :meth:`random` does not see these draws.
         """
         draw = Random.random.__get__(self)
-        return np.fromiter([draw() for _ in range(count)], float, count)
+        return np.fromiter(iter(draw, None), float, count)

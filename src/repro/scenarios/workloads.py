@@ -55,31 +55,33 @@ def living_agents(net: SensorNetwork) -> list[tuple[Location, Agent]]:
 
     A move's origin keeps its ``MIGRATING`` copy until the final ack arrives,
     which can be after the destination has installed the agent.  Such a copy
-    is left out when its (species, id) is resident and not migrating
-    elsewhere.  A real duplicate, where the origin resumed after a failed
-    hop, is not migrating, so it still counts.
+    is left out when the node its move is bound for holds a settled agent of
+    the same species and id.  A real duplicate, where the origin resumed
+    after a failed hop, is not migrating, so it still counts.
     """
-    found = [
-        (location, agent)
-        for location, node in sorted(net.nodes.items())
-        for agent in node.middleware.agents()
-    ]
-    settled = {
-        (agent.name[:3], agent.id)
-        for _, agent in found
-        if agent.state != AgentState.MIGRATING
-    }
-    return [
-        (location, agent)
-        for location, agent in found
-        if agent.state != AgentState.MIGRATING or (agent.name[:3], agent.id) not in settled
-    ]
+    living = []
+    for location, node in sorted(net.nodes.items()):
+        for agent in node.middleware.agents():
+            if agent.state == AgentState.MIGRATING:
+                dest = net.nodes.get(node.middleware.migration.move_destination(agent))
+                if dest is not None and any(
+                    other.id == agent.id
+                    and other.name[:3] == agent.name[:3]
+                    and other.state != AgentState.MIGRATING
+                    for other in dest.middleware.agents()
+                ):
+                    continue
+            living.append((location, agent))
+    return living
 
 
-def agent_census(net: SensorNetwork) -> dict[str, int]:
-    """Living agents by species tag (first three letters of the name)."""
+def agent_census(
+    net: SensorNetwork, agents: list[tuple[Location, Agent]] | None = None
+) -> dict[str, int]:
+    """Living agents by species tag (first three letters of the name), from
+    ``agents`` when the caller already holds :func:`living_agents`."""
     census: dict[str, int] = {}
-    for _, agent in living_agents(net):
+    for _, agent in living_agents(net) if agents is None else agents:
         species = agent.name[:3]
         census[species] = census.get(species, 0) + 1
     return census
@@ -195,8 +197,9 @@ class TrackerPerimeterWorkload(Workload):
         net.inject(chaser(rest_ticks=self.rest_ticks), at=topology.gateway())
 
     def metrics(self, net):
-        census = agent_census(net)
-        chasers = [location for location, agent in living_agents(net) if agent.name[:3] == "chs"]
+        agents = living_agents(net)
+        census = agent_census(net, agents)
+        chasers = [location for location, agent in agents if agent.name[:3] == "chs"]
         chase_at = str(chasers[0]) if chasers else None
         return {
             "coverage": count_tagged(net, "mag"),

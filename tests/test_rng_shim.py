@@ -140,21 +140,26 @@ class TestChannelStreamCompatibility:
 
 
 class TestImportFootprint:
-    def test_a_scenario_run_leaves_numpy_random_unimported(self):
-        """The radio draws from the stdlib; importing ``numpy.random`` would
-        only add about 6 MB of resident memory to every run."""
+    def test_a_scenario_run_adds_no_numpy_random_import(self):
+        """The radio draws from the stdlib.  On numpy >= 2, whose submodules
+        load lazily, importing ``numpy.random`` would add about 6 MB of
+        resident memory to every run.  numpy 1.x imports it with ``numpy``
+        itself, so the check is against what ``import numpy`` alone loads."""
         script = (
             "import sys\n"
+            "import numpy\n"
+            "baseline = 'numpy.random' in sys.modules\n"
             "import repro\n"
             "from repro.scenarios import Scenario\n"
             "Scenario.from_spec({'name': 'footprint',"
             " 'topology': {'kind': 'grid', 'width': 4, 'height': 4},"
             " 'workload': {'kind': 'flood'}, 'duration_s': 5.0}).run()\n"
-            "print('numpy.random' in sys.modules)\n"
+            "print(baseline, 'numpy.random' in sys.modules)\n"
         )
         src = Path(repro.__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(src))
         done = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
         )
-        assert done.stdout.strip() == "False"
+        baseline, after = done.stdout.split()
+        assert after == baseline

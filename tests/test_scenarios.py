@@ -191,10 +191,14 @@ class TestWorkloads:
         }
         run = Scenario.from_spec(spec).build()
         result = run.run()
-        copies = {str(location): agent for location, agent in run.net.find_agents("chs")}
+        found = run.net.find_agents("chs")
+        copies = {str(location): agent for location, agent in found}
         assert sorted(copies) == ["(7,6)", "(7,7)"]
         assert copies["(7,6)"].state == AgentState.MIGRATING
         assert copies["(7,6)"].id == copies["(7,7)"].id
+        origin = run.net.nodes[next(loc for loc, _ in found if str(loc) == "(7,6)")]
+        bound_for = origin.middleware.migration.move_destination(copies["(7,6)"])
+        assert str(bound_for) == "(7,7)"
         assert result["chaser_alive"] == 1
         assert result["chaser_at"] == "(7,7)"
         # An origin that resumed after a failed hop is a real duplicate.
